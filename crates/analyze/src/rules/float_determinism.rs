@@ -26,12 +26,11 @@ use std::collections::BTreeSet;
 pub const NAME: &str = "float-determinism";
 
 /// Workspace-relative files the rule governs: the modules covered by the `hist_parity`,
-/// `compiled_parity`, `engine_parity` and `index_equivalence` bit-identity suites.
+/// `compiled_parity` and `index_equivalence` bit-identity suites.
 pub fn governs(rel: &str) -> bool {
     rel == "crates/ml/src/tree.rs"
         || rel == "crates/ml/src/compiled.rs"
         || rel == "crates/ml/src/matrix.rs"
-        || rel == "crates/ml/src/qs.rs"
         || (rel.starts_with("crates/data/src/index") && rel.ends_with(".rs"))
 }
 

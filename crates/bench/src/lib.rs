@@ -8,7 +8,9 @@
 //! at reduced scale).
 //!
 //! Every binary accepts `--quick` for a reduced sweep and `--full` for the paper-scale sweep;
-//! the default sits in between so the whole suite finishes in minutes on a laptop.
+//! the default sits in between so the whole suite finishes in minutes on a laptop. Any other
+//! argument is refused with a usage message and exit status 2, so a typo never silently
+//! runs the default sweep.
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
@@ -26,17 +28,40 @@ pub enum Scale {
     Full,
 }
 
+/// The usage line every experiment binary prints when its arguments do not parse.
+const USAGE: &str = "usage: <bin> [--quick | --full]";
+
 impl Scale {
-    /// Parses the scale from the process arguments.
+    /// Parses the scale from the process arguments; prints the usage message and exits
+    /// with status 2 on anything [`Scale::parse`] rejects.
     pub fn from_args() -> Self {
-        let args: Vec<String> = std::env::args().collect();
-        if args.iter().any(|a| a == "--quick") {
-            Scale::Quick
-        } else if args.iter().any(|a| a == "--full") {
-            Scale::Full
-        } else {
-            Scale::Default
+        Self::parse(std::env::args().skip(1)).unwrap_or_else(|message| {
+            eprintln!("{message}\n{USAGE}");
+            std::process::exit(2);
+        })
+    }
+
+    /// Parses the scale from arguments (program name excluded): none selects
+    /// [`Scale::Default`], `--quick` and `--full` select their sweep. Unknown arguments and
+    /// conflicting scales are errors.
+    pub fn parse<I>(args: I) -> Result<Self, String>
+    where
+        I: IntoIterator,
+        I::Item: AsRef<str>,
+    {
+        let mut scale = None;
+        for arg in args {
+            let chosen = match arg.as_ref() {
+                "--quick" => Scale::Quick,
+                "--full" => Scale::Full,
+                other => return Err(format!("unknown argument `{other}`")),
+            };
+            if scale.is_some_and(|s| s != chosen) {
+                return Err("`--quick` and `--full` are mutually exclusive".into());
+            }
+            scale = Some(chosen);
         }
+        Ok(scale.unwrap_or(Scale::Default))
     }
 
     /// Picks one of three values according to the scale.
@@ -62,7 +87,22 @@ mod tests {
 
     #[test]
     fn scale_from_args_defaults_to_default() {
-        // The test binary is not passed --quick/--full.
-        assert_eq!(Scale::from_args(), Scale::Default);
+        assert_eq!(Scale::parse(Vec::<String>::new()), Ok(Scale::Default));
+        assert_eq!(Scale::parse(["--quick"]), Ok(Scale::Quick));
+        assert_eq!(Scale::parse(["--full", "--full"]), Ok(Scale::Full));
+    }
+
+    #[test]
+    fn scale_parse_rejects_unknown_and_conflicting_arguments() {
+        for args in [
+            vec!["--quik"],
+            vec!["--quick", "extra"],
+            vec!["-q"],
+            vec![""],
+        ] {
+            let err = Scale::parse(&args).unwrap_err();
+            assert!(err.contains("unknown argument"), "{args:?}: {err}");
+        }
+        assert!(Scale::parse(["--quick", "--full"]).is_err());
     }
 }

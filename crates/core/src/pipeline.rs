@@ -9,7 +9,6 @@ use serde::{Deserialize, Serialize};
 use surf_data::index::IndexKind;
 use surf_data::statistic::Statistic;
 use surf_ml::gbrt::GbrtParams;
-use surf_ml::qs::InferenceEngine;
 use surf_optim::gso::GsoParams;
 
 use crate::error::SurfError;
@@ -37,12 +36,6 @@ pub struct SurfConfig {
     pub gbrt: GbrtParams,
     /// Run the paper's grid search with cross-validation before the final surrogate fit.
     pub hypertune: bool,
-    /// Inference engine serving the fitted surrogate (single predictions, batched
-    /// `/predict` and swarm mining all dispatch through it). Every engine is bit-identical
-    /// for every input — the knob only moves speed; see `surf_ml::qs` for the regimes.
-    /// Defaults on deserialization too (the engine's `Deserialize::absent` hook), so
-    /// configurations persisted before the knob existed load unchanged.
-    pub inference_engine: InferenceEngine,
     /// Glowworm Swarm Optimization parameters.
     pub gso: GsoParams,
     /// Guide glowworm movement with a KDE over (a sample of) the data (Eq. 8).
@@ -89,7 +82,6 @@ impl Default for SurfConfig {
             empty_value: 0.0,
             gbrt: GbrtParams::paper_default(),
             hypertune: false,
-            inference_engine: InferenceEngine::default(),
             gso: GsoParams::paper_default(),
             use_kde_guide: true,
             kde_sample: 2_000,
@@ -220,13 +212,6 @@ impl SurfConfigBuilder {
         self
     }
 
-    /// Selects the inference engine serving the fitted surrogate (bit-identical results for
-    /// every choice; [`InferenceEngine::Compiled`] by default).
-    pub fn inference_engine(mut self, engine: InferenceEngine) -> Self {
-        self.config.inference_engine = engine;
-        self
-    }
-
     /// Sets the GSO parameters.
     pub fn gso(mut self, params: GsoParams) -> Self {
         self.config.gso = params;
@@ -337,32 +322,6 @@ mod tests {
     #[test]
     fn default_config_is_valid() {
         assert!(SurfConfig::default().validate().is_ok());
-    }
-
-    #[test]
-    fn inference_engine_round_trips_and_defaults_when_absent() {
-        use surf_ml::qs::InferenceEngine;
-
-        let config = SurfConfig::builder()
-            .inference_engine(InferenceEngine::QuickScorer)
-            .build();
-        let json = serde_json::to_string(&config).unwrap();
-        let restored: SurfConfig = serde_json::from_str(&json).unwrap();
-        assert_eq!(restored.inference_engine, InferenceEngine::QuickScorer);
-
-        // Configurations persisted before the knob existed carry no `inference_engine`
-        // key; deserialization must fall back to the default engine, not error.
-        let legacy = {
-            let serde::Value::Object(mut entries) = serde_json::from_str::<serde::Value>(&json)
-                .expect("config serializes to an object")
-            else {
-                panic!("config serializes to an object");
-            };
-            entries.retain(|(key, _)| key != "inference_engine");
-            serde_json::to_string(&serde::Value::Object(entries)).unwrap()
-        };
-        let restored: SurfConfig = serde_json::from_str(&legacy).unwrap();
-        assert_eq!(restored.inference_engine, InferenceEngine::Compiled);
     }
 
     #[test]

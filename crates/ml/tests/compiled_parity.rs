@@ -8,6 +8,12 @@
 //! inputs far outside the training range, for `predict_one`, `predict_batch` (at every
 //! thread count) and `predict_staged`, through single-leaf trees, deep trees and empty
 //! batches. Width mismatches must surface as typed errors, never as NaN predictions.
+//!
+//! Non-finite inputs are part of every property: the engine's `!(x <= t)` route sends NaN
+//! right exactly like the walker's `x <= t` branch, -∞ always left and +∞ always right. The
+//! batch kernel interleaves 16 rows per group and finishes the remainder row by row, so
+//! batch sizes around multiples of 16, including rows that are non-finite in every slot,
+//! are pinned separately at every thread count.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -43,6 +49,20 @@ fn probes(n: usize, d: usize, seed: u64) -> Vec<Vec<f64>> {
         .collect()
 }
 
+/// Probe points with non-finite entries sprinkled in: every row carries at least one of
+/// NaN, +∞ or -∞ (in rotation), the rest stay finite.
+fn non_finite_probes(n: usize, d: usize, seed: u64) -> Vec<Vec<f64>> {
+    let specials = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY];
+    let mut rng = StdRng::seed_from_u64(seed ^ 0xfeed);
+    (0..n)
+        .map(|row| {
+            let mut values: Vec<f64> = (0..d).map(|_| rng.random_range(-10.0..10.0)).collect();
+            values[row % d] = specials[row % specials.len()];
+            values
+        })
+        .collect()
+}
+
 fn flatten(rows: &[Vec<f64>]) -> Vec<f64> {
     rows.iter().flatten().copied().collect()
 }
@@ -51,7 +71,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// `predict_one` and `predict_batch` (sequential and threaded) of a compiled ensemble
-    /// are bit-identical to the boosting walker on arbitrary inputs.
+    /// are bit-identical to the boosting walker on arbitrary inputs, NaN and ±∞ included.
     #[test]
     fn ensemble_bit_parity(
         n in 5usize..=120,
@@ -76,7 +96,11 @@ proptest! {
         let compiled = CompiledEnsemble::compile(&model).unwrap();
         prop_assert_eq!(compiled.n_trees(), model.n_trees());
 
-        let inputs: Vec<Vec<f64>> = x.into_iter().chain(probes(20, d, seed)).collect();
+        let inputs: Vec<Vec<f64>> = x
+            .into_iter()
+            .chain(probes(20, d, seed))
+            .chain(non_finite_probes(24, d, seed))
+            .collect();
         let walker = model.predict(&inputs).unwrap();
         for (row, expected) in inputs.iter().zip(&walker) {
             prop_assert_eq!(
@@ -109,7 +133,7 @@ proptest! {
         };
         let model = Gbrt::fit(&x, &y, &params).unwrap();
         let compiled = CompiledEnsemble::compile(&model).unwrap();
-        for row in x.iter().take(10) {
+        for row in x.iter().take(10).chain(&non_finite_probes(6, d, seed)) {
             prop_assert_eq!(
                 compiled.predict_staged(row, rounds).unwrap().to_bits(),
                 model.predict_staged(row, rounds).unwrap().to_bits()
@@ -139,7 +163,11 @@ proptest! {
         if constant_targets {
             prop_assert_eq!(tree.node_count(), 1);
         }
-        let inputs: Vec<Vec<f64>> = x.into_iter().chain(probes(10, d, seed)).collect();
+        let inputs: Vec<Vec<f64>> = x
+            .into_iter()
+            .chain(probes(10, d, seed))
+            .chain(non_finite_probes(12, d, seed))
+            .collect();
         let walker = tree.predict(&inputs).unwrap();
         let batch = compiled.predict_batch(&flatten(&inputs), d).unwrap();
         for ((row, expected), got) in inputs.iter().zip(&walker).zip(&batch) {
@@ -189,6 +217,51 @@ proptest! {
                 compiled.predict_batch(&ragged, d),
                 Err(MlError::InvalidParameter { .. })
             ));
+        }
+    }
+}
+
+/// Tail-lane coverage: batch sizes on both sides of every 16-row group boundary, and past
+/// the 1024-row block so threads really split the batch, with a third of the rows carrying
+/// **only** non-finite entries (NaN / ±∞ in every slot), are bit-identical to the walker at
+/// threads 1–4.
+#[test]
+fn tail_lanes_and_all_non_finite_rows_match_walker() {
+    let (x, y) = random_data(200, 3, 42);
+    let params = GbrtParams {
+        n_estimators: 8,
+        max_depth: 6,
+        seed: 42,
+        ..GbrtParams::quick()
+    };
+    let model = Gbrt::fit(&x, &y, &params).unwrap();
+    let compiled = CompiledEnsemble::compile(&model).unwrap();
+    let specials = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY];
+
+    let sizes = [
+        1usize, 2, 5, 15, 16, 17, 31, 32, 33, 47, 48, 49, 63, 64, 65, 1023, 1025, 2065,
+    ];
+    for n in sizes {
+        let mut rows = probes(n, 3, 1_000 + n as u64);
+        for (i, row) in rows.iter_mut().enumerate() {
+            if i % 3 == 0 {
+                for (j, value) in row.iter_mut().enumerate() {
+                    *value = specials[(i + j) % specials.len()];
+                }
+            }
+        }
+        let walker = model.predict(&rows).unwrap();
+        let flat = flatten(&rows);
+        for threads in 1usize..=4 {
+            let batch = compiled.predict_batch_threaded(&flat, 3, threads).unwrap();
+            assert_eq!(batch.len(), walker.len());
+            for (i, (got, expected)) in batch.iter().zip(&walker).enumerate() {
+                assert_eq!(
+                    got.to_bits(),
+                    expected.to_bits(),
+                    "n={n} threads={threads} row={i}"
+                );
+            }
         }
     }
 }

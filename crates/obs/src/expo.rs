@@ -42,9 +42,6 @@ pub fn render(snapshot: &Snapshot) -> String {
                 SampleValue::Gauge(v) => {
                     sample_line(&mut out, &family.name, &labels, None, &v.to_string());
                 }
-                SampleValue::GaugeF64(v) => {
-                    sample_line(&mut out, &family.name, &labels, None, &format_f64(*v));
-                }
                 SampleValue::Histogram(h) => {
                     let bucket_name = format!("{}_bucket", family.name);
                     let mut cumulative = 0u64;
@@ -85,20 +82,6 @@ pub fn render(snapshot: &Snapshot) -> String {
         }
     }
     out
-}
-
-/// Formats a float gauge value: Prometheus spells non-finite readings `+Inf`/`-Inf`/`NaN`;
-/// finite ones use Rust's shortest round-trip decimal form.
-fn format_f64(v: f64) -> String {
-    if v.is_nan() {
-        "NaN".to_string()
-    } else if v == f64::INFINITY {
-        "+Inf".to_string()
-    } else if v == f64::NEG_INFINITY {
-        "-Inf".to_string()
-    } else {
-        format!("{v}")
-    }
 }
 
 fn sample_line(

@@ -371,10 +371,6 @@ pub enum SampleValue {
     Counter(u64),
     /// Gauge reading.
     Gauge(i64),
-    /// Float gauge reading — for snapshot-only values that are not integral (e.g. compile
-    /// times in seconds). No live [`Gauge`] instrument backs this variant; producers push
-    /// it straight into assembled snapshots.
-    GaugeF64(f64),
     /// Histogram state.
     Histogram(HistogramSnapshot),
 }
@@ -462,17 +458,6 @@ impl Snapshot {
             InstrumentKind::Gauge,
             labels,
             SampleValue::Gauge(value),
-        );
-    }
-
-    /// Appends a float gauge sample (creating the family on first use).
-    pub fn push_gauge_f64(&mut self, name: &str, help: &str, labels: &[(&str, &str)], value: f64) {
-        self.push(
-            name,
-            help,
-            InstrumentKind::Gauge,
-            labels,
-            SampleValue::GaugeF64(value),
         );
     }
 

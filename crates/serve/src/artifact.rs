@@ -34,10 +34,9 @@ use crate::error::ServeError;
 /// Version history: `1` — initial layout; `2` — `GbrtParams` gained the `max_bins`
 /// histogram-engine knob (nested in `SurfState::config`), changing the fitted-state layout;
 /// `3` — `GbrtParams` gained the `colsample` per-tree feature-subsampling knob;
-/// `4` — `SurfConfig` gained the `inference_engine` knob selecting the batch-prediction
-/// kernel (walker / compiled / quickscorer), so a served model keeps the engine it was
-/// deployed with.
-pub const SCHEMA_VERSION: u64 = 4;
+/// `4` — `SurfConfig` gained an `inference_engine` knob selecting the batch-prediction
+/// kernel; `5` — that knob is gone again (the compiled engine serves every model).
+pub const SCHEMA_VERSION: u64 = 5;
 
 /// Descriptive metadata of a persisted surrogate, denormalized out of the fitted state so
 /// registries and `/models` listings can describe a model cheaply.
@@ -221,5 +220,42 @@ mod tests {
         );
         assert!(ModelArtifact::from_json("{\"no_version\": true}").is_err());
         assert!(ModelArtifact::from_json("not json").is_err());
+    }
+
+    #[test]
+    fn schema_v4_artifacts_are_a_typed_version_error() {
+        // A v4 artifact still carries the retired `inference_engine` config knob; it must be
+        // refused on its version before any of the fitted state is decoded.
+        let artifact = ModelArtifact::from_engine("demo", &small_engine());
+        let serde::Value::Object(mut entries) =
+            serde_json::parse_value(&artifact.to_json()).expect("artifact JSON parses")
+        else {
+            panic!("artifact serializes to an object");
+        };
+        for (key, value) in &mut entries {
+            match (key.as_str(), value) {
+                ("schema_version", value) => *value = serde::Value::UInt(4),
+                ("state", serde::Value::Object(state)) => {
+                    for (key, config) in state {
+                        if let ("config", serde::Value::Object(config)) = (key.as_str(), config) {
+                            config.push((
+                                "inference_engine".into(),
+                                serde::Value::String("quickscorer".into()),
+                            ));
+                        }
+                    }
+                }
+                _ => {}
+            }
+        }
+        let v4 = serde_json::to_string(&serde::Value::Object(entries)).unwrap();
+        assert!(v4.contains("\"inference_engine\""));
+        assert_eq!(
+            ModelArtifact::from_json(&v4).unwrap_err(),
+            ServeError::SchemaVersion {
+                found: 4,
+                supported: SCHEMA_VERSION
+            }
+        );
     }
 }

@@ -136,9 +136,8 @@ impl CoalesceStats {
 pub struct BatchInstruments {
     /// Time each submission spent parked in the queue before its fused call started.
     pub batch_wait: Arc<Histogram>,
-    /// Wall time of each fused `predict_batch` call, labelled by the inference engine
-    /// that ran it.
-    pub kernel: crate::obs::KernelStats,
+    /// Wall time of each fused `predict_batch` call.
+    pub kernel: Arc<Histogram>,
 }
 
 /// One caller's evaluation request, parked until a batcher fuses it.
@@ -464,7 +463,7 @@ fn fuse_and_reply(queue: &BatchQueue, jobs: Vec<Submission>, values: &mut Vec<f6
         for job in &group {
             fused.extend(job.regions.iter().cloned());
         }
-        // One fused pass of this generation's inference engine: the same blocked kernel
+        // One fused pass of this generation's compiled engine: the same blocked kernel
         // any solo call runs, just over more rows — per-row results are bit-identical to
         // solo evaluation regardless of what the batch happens to contain. Writing into
         // the gatherer-owned buffer keeps the output exactly `rows` long, so replies can
@@ -475,10 +474,7 @@ fn fuse_and_reply(queue: &BatchQueue, jobs: Vec<Submission>, values: &mut Vec<f6
         let kernel_started = instruments.map(|_| Instant::now());
         surf_core::Surrogate::predict_batch_into(surrogate, &fused, values);
         if let (Some(instruments), Some(started)) = (instruments, kernel_started) {
-            instruments
-                .kernel
-                .for_engine(surrogate.engine())
-                .observe_duration(started.elapsed());
+            instruments.kernel.observe_duration(started.elapsed());
         }
         let mut offset = 0;
         for job in group {
@@ -757,29 +753,15 @@ mod tests {
         let bounds = surf_obs::metrics::default_duration_bounds();
         queue.set_instruments(BatchInstruments {
             batch_wait: registry.histogram("test_batch_wait_nanos", "wait", &bounds),
-            kernel: crate::obs::KernelStats::new(&registry, &bounds),
+            kernel: registry.histogram("test_kernel_nanos", "kernel", &bounds),
         });
         let probe = regions(9, 3);
         queue.evaluate(&model, &probe);
         let wait = registry
             .histogram("test_batch_wait_nanos", "wait", &bounds)
             .snapshot();
-        // The test model trains with the default engine, so the fused call lands in the
-        // `compiled` series of the per-engine kernel family (labelled with whatever
-        // kernel dispatch the engine ran under when the instruments were built).
         let kernel = registry
-            .histogram_with(
-                "surf_serve_kernel_nanos",
-                "kernel",
-                &bounds,
-                &[
-                    ("engine", "compiled"),
-                    (
-                        "kernel",
-                        crate::obs::engine_kernel(surf_ml::qs::InferenceEngine::Compiled),
-                    ),
-                ],
-            )
+            .histogram("test_kernel_nanos", "kernel", &bounds)
             .snapshot();
         assert_eq!(wait.count, 1, "one submission, one wait observation");
         assert_eq!(kernel.count, 1, "one fused call, one kernel observation");

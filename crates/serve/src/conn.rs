@@ -406,6 +406,29 @@ mod tests {
     }
 
     #[test]
+    fn chunked_body_is_never_dispatched_as_a_second_request() {
+        let mut c = conn();
+        // The chunk payload spells out a complete request: were the head accepted and the
+        // body left unread, these bytes would be smuggled through as the next request.
+        let smuggled = b"GET /models HTTP/1.1\r\n\r\n";
+        let mut wire = b"POST /predict HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n".to_vec();
+        wire.extend_from_slice(format!("{:x}\r\n", smuggled.len()).as_bytes());
+        wire.extend_from_slice(smuggled);
+        wire.extend_from_slice(b"\r\n0\r\n\r\n");
+        assert!(drive(&mut c, &wire).is_none());
+        let out = flush_all(&mut c);
+        assert!(out.contains("400"));
+        assert!(out.contains("Transfer-Encoding"));
+        assert!(out.contains("Connection: close"));
+        assert!(c.finished(), "a framing error closes the connection");
+        // Bytes arriving after the error are never parsed either.
+        c.ingest(smuggled, Instant::now());
+        assert!(c.next_request(1024).is_none());
+        assert_eq!(c.requests_parsed(), 0, "nothing was ever dispatched");
+        assert!(!c.wants_write(), "no second response");
+    }
+
+    #[test]
     fn partial_header_then_eof_is_a_400() {
         let mut c = conn();
         assert!(drive(&mut c, b"GET /healthz HT").is_none());

@@ -3,9 +3,11 @@
 //!
 //! Hand-rolled for the same reason the workspace vendors serde: the build environment has no
 //! route to a crates registry. Only the slice of HTTP/1.1 the subsystem needs is implemented:
-//! `Content-Length` bodies (no chunked transfer), JSON payloads, persistent connections
-//! (keep-alive by default for HTTP/1.1, honoring `Connection: close`), and hard limits on
-//! header and body sizes so a misbehaving client cannot balloon server memory.
+//! `Content-Length` bodies (a `Transfer-Encoding` header, a repeated `Content-Length` or
+//! a signed length is a framing error, so the parser never guesses where a body ends),
+//! JSON payloads, persistent connections (keep-alive by default for HTTP/1.1, honoring
+//! `Connection: close`), and hard limits on header and body sizes so a misbehaving client
+//! cannot balloon server memory.
 //!
 //! The core of the module is [`parse_request`], an *incremental* parser over a byte buffer:
 //! it either produces a complete request plus the number of bytes it consumed, reports that
@@ -66,8 +68,9 @@ pub enum Parsed {
 /// # Errors
 ///
 /// [`ServeError::BadRequest`] for malformed requests: oversized or non-UTF-8 headers, an
-/// unparseable request line or `Content-Length`, an unsupported protocol version, or a
-/// non-UTF-8 body.
+/// unparseable request line, a `Content-Length` that is repeated or not plain decimal
+/// digits, any `Transfer-Encoding` header, an unsupported protocol version, or a non-UTF-8
+/// body. Each is a framing error: the caller cannot know where the next request starts.
 pub fn parse_request(buffer: &[u8], max_body_bytes: usize) -> Result<Parsed, ServeError> {
     let Some(header_end) = find_header_end(buffer) else {
         if buffer.len() > MAX_HEADER_BYTES {
@@ -99,7 +102,7 @@ pub fn parse_request(buffer: &[u8], max_body_bytes: usize) -> Result<Parsed, Ser
     }
     let path = target.split('?').next().unwrap_or(target).to_string();
 
-    let mut content_length = 0usize;
+    let mut content_length = None;
     // HTTP/1.1 defaults to keep-alive; HTTP/1.0 defaults to close.
     let mut close = version == "HTTP/1.0";
     for line in lines {
@@ -107,9 +110,16 @@ pub fn parse_request(buffer: &[u8], max_body_bytes: usize) -> Result<Parsed, Ser
             let name = name.trim();
             let value = value.trim();
             if name.eq_ignore_ascii_case("content-length") {
-                content_length = value.parse().map_err(|_| {
-                    ServeError::BadRequest(format!("unparseable Content-Length `{value}`"))
-                })?;
+                if content_length.is_some() {
+                    return Err(ServeError::BadRequest(
+                        "repeated Content-Length header".into(),
+                    ));
+                }
+                content_length = Some(parse_content_length(value)?);
+            } else if name.eq_ignore_ascii_case("transfer-encoding") {
+                return Err(ServeError::BadRequest(format!(
+                    "unsupported Transfer-Encoding `{value}`: bodies need a Content-Length"
+                )));
             } else if name.eq_ignore_ascii_case("connection") {
                 if value.eq_ignore_ascii_case("close") {
                     close = true;
@@ -120,6 +130,7 @@ pub fn parse_request(buffer: &[u8], max_body_bytes: usize) -> Result<Parsed, Ser
         }
     }
 
+    let content_length = content_length.unwrap_or(0);
     let body_start = header_end + 4;
     if content_length > max_body_bytes {
         return Ok(Parsed::Oversized {
@@ -194,6 +205,16 @@ pub fn read_request(stream: &mut TcpStream, max_body_bytes: usize) -> Result<Req
             }
         }
     }
+}
+
+/// A `Content-Length` value: one or more decimal digits and nothing else (no sign, no
+/// list), within `usize`.
+fn parse_content_length(value: &str) -> Result<usize, ServeError> {
+    let unparseable = || ServeError::BadRequest(format!("unparseable Content-Length `{value}`"));
+    if value.is_empty() || !value.bytes().all(|b| b.is_ascii_digit()) {
+        return Err(unparseable());
+    }
+    value.parse().map_err(|_| unparseable())
 }
 
 fn find_header_end(buffer: &[u8]) -> Option<usize> {
@@ -552,6 +573,56 @@ mod tests {
         );
         let long = vec![b'x'; MAX_HEADER_BYTES + 8];
         assert!(parse_request(&long, 1024).is_err(), "oversized headers");
+    }
+
+    fn bad_request_message(wire: &[u8]) -> String {
+        match parse_request(wire, 1024) {
+            Err(ServeError::BadRequest(message)) => message,
+            other => panic!("expected BadRequest, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn transfer_encoding_is_a_framing_error() {
+        for value in ["chunked", "gzip, chunked", "identity"] {
+            let wire = format!("POST /predict HTTP/1.1\r\nTransfer-Encoding: {value}\r\n\r\n");
+            assert!(bad_request_message(wire.as_bytes()).contains("Transfer-Encoding"));
+        }
+        // Also alongside a Content-Length, and whatever the header's case.
+        let both = b"POST /p HTTP/1.1\r\nContent-Length: 2\r\ntransfer-ENCODING: chunked\r\n\r\n{}";
+        assert!(bad_request_message(both).contains("Transfer-Encoding"));
+    }
+
+    #[test]
+    fn repeated_content_length_is_a_framing_error() {
+        let differing = b"POST /p HTTP/1.1\r\nContent-Length: 2\r\nContent-Length: 5\r\n\r\n{}abc";
+        assert!(bad_request_message(differing).contains("repeated Content-Length"));
+        let equal = b"POST /p HTTP/1.1\r\nContent-Length: 2\r\ncontent-length: 2\r\n\r\n{}";
+        assert!(bad_request_message(equal).contains("repeated Content-Length"));
+    }
+
+    #[test]
+    fn content_length_must_be_plain_digits() {
+        for value in [
+            "+5",
+            "-5",
+            " ",
+            "5,5",
+            "0x10",
+            "1e3",
+            "99999999999999999999999",
+        ] {
+            let wire = format!("POST /p HTTP/1.1\r\nContent-Length: {value}\r\n\r\nhello");
+            assert!(
+                bad_request_message(wire.as_bytes()).contains("Content-Length"),
+                "`{value}` must be rejected"
+            );
+        }
+        let zero_padded = b"POST /p HTTP/1.1\r\nContent-Length: 005\r\n\r\nhello";
+        match parse_request(zero_padded, 1024).unwrap() {
+            Parsed::Complete { request, .. } => assert_eq!(request.body, "hello"),
+            other => panic!("{other:?}"),
+        }
     }
 
     #[test]

@@ -26,7 +26,7 @@ use crate::cache::CacheStats;
 use crate::coalesce::{CoalesceStats, QueuedSurrogate};
 use crate::error::ServeError;
 use crate::http::{Request, CONTENT_TYPE_JSON, CONTENT_TYPE_METRICS};
-use crate::registry::{ModelEngineStats, ModelInfo};
+use crate::registry::ModelInfo;
 use crate::server::{EndpointSnapshot, ServeContext};
 
 /// A region in center / half-length form, as accepted on the wire.
@@ -171,9 +171,6 @@ pub struct StatsResponse {
     pub cache: CacheStats,
     /// Coalescing-queue counters (batch-size histogram included).
     pub coalesce: CoalesceStats,
-    /// Per-model inference-engine facts (engine label, QuickScorer compile time) — the
-    /// same registry view behind the `surf_qs_compile_seconds` gauges in `/metrics`.
-    pub engines: Vec<ModelEngineStats>,
     /// `/predict` latency counters.
     pub predict: EndpointSnapshot,
     /// `/mine` latency counters.
@@ -284,7 +281,6 @@ fn stats(context: &ServeContext) -> Result<String, ServeError> {
         admission_rejects: obs.admission_rejects(),
         cache: context.cache.stats(),
         coalesce: context.coalesce_stats(),
-        engines: context.registry.engine_stats()?,
         predict: obs.predict.snapshot(),
         mine: obs.mine.snapshot(),
         other: obs.other.snapshot(),

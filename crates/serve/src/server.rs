@@ -200,8 +200,7 @@ impl ServeContext {
                 let timer = self.obs.timer();
                 let span = surf_obs::trace::span_timer();
                 let values = surf_core::Surrogate::predict_batch(surrogate, regions);
-                self.obs
-                    .observe(self.obs.kernel.for_engine(surrogate.engine()), timer);
+                self.obs.observe(&self.obs.kernel, timer);
                 surf_obs::trace::record_span("kernel", span);
                 values
             }
