@@ -1,28 +1,19 @@
-//! Property suite: all **three** inference engines — the node-walking predictor, the
-//! compiled struct-of-arrays engine and the QuickScorer bitvector engine — are
-//! **bit-identical** for every input.
+//! Property suite: the three evaluation paths of a fitted model — the node-walking
+//! predictor, the compiled engine's row-at-a-time path (`predict_one`, `predict_staged`)
+//! and its 16-lane batch kernel (`predict_batch*`) — are **bit-identical** for every input,
+//! and reject malformed input with the **same** typed error.
 //!
-//! The compiled engine replays the walker's comparison sequence over rearranged storage;
-//! QuickScorer replaces the walk entirely with mask ANDs whose violation predicate
-//! `!(x <= t)` routes exactly where the walker's `x <= t` branch does — including NaN
-//! (which violates every condition and always exits right) and ±∞. Bit-identity therefore
-//! must hold for *arbitrary* fitted models and *arbitrary* inputs: subsampled and
-//! column-subsampled ensembles, single-leaf trees, empty batches, non-finite rows, and
-//! every thread count. Width mismatches must surface as typed errors on each engine,
-//! never as NaN predictions.
-//!
-//! Both batch engines additionally dispatch their hot loops through `surf_simd` (scalar /
-//! SSE2 / AVX2, probed at runtime), so bit-identity must also hold **across kernel
-//! dispatch**: the forced-scalar path and whatever ISA the running CPU dispatches to must
-//! produce identical bits — including batch sizes that leave tail lanes beyond the 16-row
-//! interleave groups, and rows whose every entry is non-finite.
+//! The compiled engine routes on `!(x <= t)`, the walker on `x <= t` with the branches
+//! swapped, so both send NaN right (it fails every comparison), -∞ always left and +∞
+//! always right. Bit-identity therefore must hold for *arbitrary* fitted models and
+//! *arbitrary* inputs: subsampled and column-subsampled ensembles, single-leaf trees,
+//! rows carrying NaN and ±∞, staged prediction and every thread count.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use surf_ml::compiled::CompiledEnsemble;
 use surf_ml::gbrt::{Gbrt, GbrtParams};
-use surf_ml::qs::QuickScorerEnsemble;
 use surf_ml::tree::{RegressionTree, TreeParams};
 use surf_ml::MlError;
 
@@ -70,38 +61,12 @@ fn flatten(rows: &[Vec<f64>]) -> Vec<f64> {
     rows.iter().flatten().copied().collect()
 }
 
-/// Serializes test windows that touch the process-wide force-scalar flag, so a
-/// "dispatched" computation in one test cannot be silently downgraded to scalar by
-/// another test's forced window running concurrently.
-static DISPATCH_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-
-/// Runs `scalar` with scalar dispatch forced and `dispatched` with the CPU's detected
-/// ISA, under the lock, restoring the prior force state (it may be pinned by
-/// `SURF_FORCE_SCALAR=1`, under which both closures legitimately run scalar — the
-/// comparison is then trivially green and the CI matrix covers the SIMD leg elsewhere).
-/// The dispatched leg also opts the compiled engine into its vectorized whole-group walk
-/// (off in production — measured slower than the fused scalar loop — but exactly the
-/// path whose bit-identity this suite must pin).
-fn scalar_and_dispatched<T>(scalar: impl FnOnce() -> T, dispatched: impl FnOnce() -> T) -> (T, T) {
-    let _guard = DISPATCH_LOCK.lock().unwrap();
-    let prev = surf_simd::scalar_forced();
-    let prev_walk = surf_ml::compiled::simd_walk_enabled();
-    surf_simd::force_scalar(true);
-    let s = scalar();
-    surf_simd::force_scalar(prev);
-    surf_ml::compiled::set_simd_walk(true);
-    let d = dispatched();
-    surf_ml::compiled::set_simd_walk(prev_walk);
-    (s, d)
-}
-
-/// Asserts both batch engines reproduce `walker` bit for bit at `threads`, scalar and
-/// batched alike.
+/// Asserts the compiled engine's row path and its batch kernel at `threads` both
+/// reproduce `walker` bit for bit.
 fn assert_three_way(
     inputs: &[Vec<f64>],
     walker: &[f64],
     compiled: &CompiledEnsemble,
-    quickscorer: &QuickScorerEnsemble,
     d: usize,
     threads: usize,
 ) {
@@ -110,30 +75,21 @@ fn assert_three_way(
             compiled.predict_one(row).unwrap().to_bits(),
             expected.to_bits()
         );
-        assert_eq!(
-            quickscorer.predict_one(row).unwrap().to_bits(),
-            expected.to_bits()
-        );
     }
-    let flat = flatten(inputs);
-    let compiled_batch = compiled.predict_batch_threaded(&flat, d, threads).unwrap();
-    let quickscorer_batch = quickscorer
-        .predict_batch_threaded(&flat, d, threads)
+    let batch = compiled
+        .predict_batch_threaded(&flatten(inputs), d, threads)
         .unwrap();
-    assert_eq!(compiled_batch.len(), walker.len());
-    assert_eq!(quickscorer_batch.len(), walker.len());
-    for ((c, q), expected) in compiled_batch.iter().zip(&quickscorer_batch).zip(walker) {
-        assert_eq!(c.to_bits(), expected.to_bits());
-        assert_eq!(q.to_bits(), expected.to_bits());
+    assert_eq!(batch.len(), walker.len());
+    for (got, expected) in batch.iter().zip(walker) {
+        assert_eq!(got.to_bits(), expected.to_bits());
     }
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// `predict_one` and `predict_batch` (sequential and threaded) of both batch engines
-    /// are bit-identical to the boosting walker on arbitrary finite inputs, across
-    /// subsampled and column-subsampled ensembles.
+    /// Walker, compiled `predict_one` and compiled `predict_batch_threaded` agree bit for
+    /// bit on arbitrary finite inputs, across subsampled and column-subsampled ensembles.
     #[test]
     fn three_engine_bit_parity(
         n in 5usize..=120,
@@ -156,17 +112,15 @@ proptest! {
         };
         let model = Gbrt::fit(&x, &y, &params).unwrap();
         let compiled = CompiledEnsemble::compile(&model).unwrap();
-        let quickscorer = QuickScorerEnsemble::compile(&model).unwrap();
-        prop_assert_eq!(quickscorer.n_trees(), model.n_trees());
+        prop_assert_eq!(compiled.n_trees(), model.n_trees());
 
         let inputs: Vec<Vec<f64>> = x.into_iter().chain(probes(20, d, seed)).collect();
         let walker = model.predict(&inputs).unwrap();
-        assert_three_way(&inputs, &walker, &compiled, &quickscorer, d, threads);
+        assert_three_way(&inputs, &walker, &compiled, d, threads);
     }
 
-    /// Rows carrying NaN and ±∞ predict bit-identically across all three engines: NaN
-    /// violates every split condition (`!(x <= t)`) exactly like the walker's false
-    /// branch, -∞ none, +∞ all.
+    /// Rows carrying NaN and ±∞ predict bit-identically on all three paths: NaN fails
+    /// every split condition and exits right, -∞ goes left at every split, +∞ right.
     #[test]
     fn non_finite_rows_bit_parity(
         n in 5usize..=60,
@@ -185,15 +139,14 @@ proptest! {
         };
         let model = Gbrt::fit(&x, &y, &params).unwrap();
         let compiled = CompiledEnsemble::compile(&model).unwrap();
-        let quickscorer = QuickScorerEnsemble::compile(&model).unwrap();
 
         let inputs = non_finite_probes(24, d, seed);
         let walker = model.predict(&inputs).unwrap();
-        assert_three_way(&inputs, &walker, &compiled, &quickscorer, d, threads);
+        assert_three_way(&inputs, &walker, &compiled, d, threads);
     }
 
     /// Staged prediction (any number of rounds, including 0 and past the end) matches the
-    /// walker bit for bit on both batch engines.
+    /// walker bit for bit, on finite and non-finite rows alike.
     #[test]
     fn staged_bit_parity(
         n in 10usize..=80,
@@ -209,23 +162,17 @@ proptest! {
         };
         let model = Gbrt::fit(&x, &y, &params).unwrap();
         let compiled = CompiledEnsemble::compile(&model).unwrap();
-        let quickscorer = QuickScorerEnsemble::compile(&model).unwrap();
-        for row in x.iter().take(10) {
-            let expected = model.predict_staged(row, rounds).unwrap();
+        for row in x.iter().take(10).chain(&non_finite_probes(6, d, seed)) {
             prop_assert_eq!(
                 compiled.predict_staged(row, rounds).unwrap().to_bits(),
-                expected.to_bits()
-            );
-            prop_assert_eq!(
-                quickscorer.predict_staged(row, rounds).unwrap().to_bits(),
-                expected.to_bits()
+                model.predict_staged(row, rounds).unwrap().to_bits()
             );
         }
     }
 
-    /// A single compiled tree matches the tree walker bit for bit on both engines —
-    /// including trees that collapse to a single leaf (constant targets), whose
-    /// QuickScorer form has an empty condition list and a one-bit mask arena.
+    /// A single compiled tree matches the tree walker bit for bit on all three paths —
+    /// including trees that collapse to a single leaf (constant targets) and rows carrying
+    /// NaN and ±∞.
     #[test]
     fn tree_bit_parity(
         n in 2usize..=100,
@@ -242,18 +189,20 @@ proptest! {
         let params = TreeParams { max_depth, ..TreeParams::default() };
         let tree = RegressionTree::fit(&x, &y, &params).unwrap();
         let compiled = CompiledEnsemble::from_tree(&tree).unwrap();
-        let quickscorer = QuickScorerEnsemble::from_tree(&tree).unwrap();
         if constant_targets {
             prop_assert_eq!(tree.node_count(), 1);
-            prop_assert_eq!(quickscorer.condition_count(), 0);
         }
-        let inputs: Vec<Vec<f64>> = x.into_iter().chain(probes(10, d, seed)).collect();
+        let inputs: Vec<Vec<f64>> = x
+            .into_iter()
+            .chain(probes(10, d, seed))
+            .chain(non_finite_probes(12, d, seed))
+            .collect();
         let walker = tree.predict(&inputs).unwrap();
-        assert_three_way(&inputs, &walker, &compiled, &quickscorer, d, 1);
+        assert_three_way(&inputs, &walker, &compiled, d, 1);
     }
 
-    /// Empty batches yield empty outputs; width mismatches are typed errors on every
-    /// QuickScorer entry point (never NaN-filled results), mirroring the compiled engine.
+    /// Empty batches yield empty outputs on both engines, and a width mismatch is the
+    /// same typed error from the walker and the compiled engine at every entry point.
     #[test]
     fn empty_batches_and_width_mismatches(
         d in 1usize..=4,
@@ -264,140 +213,24 @@ proptest! {
         let wrong = d + offset;
         let (x, y) = random_data(30, d, seed);
         let model = Gbrt::fit(&x, &y, &GbrtParams::quick().with_n_estimators(3)).unwrap();
-        let quickscorer = QuickScorerEnsemble::compile(&model).unwrap();
-
-        prop_assert!(quickscorer.predict_batch(&[], d).unwrap().is_empty());
-        let mut empty_out: [f64; 0] = [];
-        prop_assert!(quickscorer.predict_batch_into(&[], d, &mut empty_out).is_ok());
-
-        let row = vec![0.5; wrong];
-        prop_assert_eq!(
-            quickscorer.predict_one(&row),
-            Err(MlError::FeatureWidthMismatch { expected: d, actual: wrong })
-        );
-        prop_assert_eq!(
-            quickscorer.predict_staged(&row, 1),
-            Err(MlError::FeatureWidthMismatch { expected: d, actual: wrong })
-        );
-        prop_assert!(matches!(
-            quickscorer.predict_batch(&row, wrong),
-            Err(MlError::FeatureWidthMismatch { .. })
-        ));
-        // A flat buffer that is not a whole number of rows is rejected, not truncated.
-        let ragged = vec![0.25; d + (d + 1)];
-        if ragged.len() % d != 0 {
-            prop_assert!(matches!(
-                quickscorer.predict_batch(&ragged, d),
-                Err(MlError::InvalidParameter { .. })
-            ));
-        }
-    }
-
-    /// The forced-scalar and CPU-dispatched kernel paths of both batch engines are
-    /// bit-identical to each other and to the walker, for arbitrary models, arbitrary
-    /// batch sizes (including non-multiples of the 16-row group) and rows mixing finite
-    /// with non-finite values.
-    #[test]
-    fn forced_scalar_matches_dispatched(
-        n in 1usize..=90,
-        d in 1usize..=5,
-        n_estimators in 1usize..=10,
-        max_depth in 1usize..=7,
-        threads in 1usize..=3,
-        seed in 0u64..10_000,
-    ) {
-        let (x, y) = random_data(n.max(5), d, seed);
-        let params = GbrtParams {
-            n_estimators,
-            max_depth,
-            seed,
-            ..GbrtParams::quick()
-        };
-        let model = Gbrt::fit(&x, &y, &params).unwrap();
         let compiled = CompiledEnsemble::compile(&model).unwrap();
-        let quickscorer = QuickScorerEnsemble::compile(&model).unwrap();
 
-        let inputs: Vec<Vec<f64>> = probes(n, d, seed)
-            .into_iter()
-            .chain(non_finite_probes(n.min(24), d, seed))
-            .collect();
-        let walker = model.predict(&inputs).unwrap();
-        let flat = flatten(&inputs);
+        prop_assert!(model.predict(&[]).unwrap().is_empty());
+        prop_assert!(compiled.predict_batch_threaded(&[], d, 3).unwrap().is_empty());
 
-        let run = || {
-            (
-                compiled.predict_batch_threaded(&flat, d, threads).unwrap(),
-                quickscorer.predict_batch_threaded(&flat, d, threads).unwrap(),
-            )
-        };
-        let ((scalar_c, scalar_q), (disp_c, disp_q)) = scalar_and_dispatched(run, run);
-        for i in 0..walker.len() {
-            prop_assert_eq!(scalar_c[i].to_bits(), walker[i].to_bits());
-            prop_assert_eq!(scalar_q[i].to_bits(), walker[i].to_bits());
-            prop_assert_eq!(disp_c[i].to_bits(), walker[i].to_bits());
-            prop_assert_eq!(disp_q[i].to_bits(), walker[i].to_bits());
-        }
-    }
-}
-
-/// Deterministic tail-lane coverage: every batch size around the 16-row interleave-group
-/// boundary, with a third of the rows carrying **only** non-finite entries (NaN / ±∞ in
-/// every slot), must be bit-identical between the forced-scalar and dispatched kernel
-/// paths on both batch engines.
-#[test]
-fn tail_lanes_and_all_non_finite_rows_match_across_dispatch() {
-    let (x, y) = random_data(200, 3, 42);
-    let params = GbrtParams {
-        n_estimators: 8,
-        max_depth: 6,
-        seed: 42,
-        ..GbrtParams::quick()
-    };
-    let model = Gbrt::fit(&x, &y, &params).unwrap();
-    let compiled = CompiledEnsemble::compile(&model).unwrap();
-    let quickscorer = QuickScorerEnsemble::compile(&model).unwrap();
-    let specials = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY];
-
-    for n in [1usize, 2, 5, 15, 16, 17, 31, 32, 33, 47, 48, 49, 63, 64, 65] {
-        let mut rows = probes(n, 3, 1_000 + n as u64);
-        for (i, row) in rows.iter_mut().enumerate() {
-            if i % 3 == 0 {
-                for (j, value) in row.iter_mut().enumerate() {
-                    *value = specials[(i + j) % specials.len()];
-                }
-            }
-        }
-        let walker = model.predict(&rows).unwrap();
-        let flat = flatten(&rows);
-        let run = || {
-            (
-                compiled.predict_batch(&flat, 3).unwrap(),
-                quickscorer.predict_batch(&flat, 3).unwrap(),
-            )
-        };
-        let ((scalar_c, scalar_q), (disp_c, disp_q)) = scalar_and_dispatched(run, run);
-        for i in 0..walker.len() {
-            let expected = walker[i].to_bits();
-            assert_eq!(
-                scalar_c[i].to_bits(),
-                expected,
-                "compiled scalar n={n} row={i}"
-            );
-            assert_eq!(
-                scalar_q[i].to_bits(),
-                expected,
-                "quickscorer scalar n={n} row={i}"
-            );
-            assert_eq!(
-                disp_c[i].to_bits(),
-                expected,
-                "compiled dispatched n={n} row={i}"
-            );
-            assert_eq!(
-                disp_q[i].to_bits(),
-                expected,
-                "quickscorer dispatched n={n} row={i}"
-            );
-        }
+        let mismatch = Err(MlError::FeatureWidthMismatch { expected: d, actual: wrong });
+        let row = vec![0.5; wrong];
+        prop_assert_eq!(model.predict_one(&row), mismatch.clone());
+        prop_assert_eq!(compiled.predict_one(&row), mismatch.clone());
+        prop_assert_eq!(model.predict_staged(&row, 1), mismatch.clone());
+        prop_assert_eq!(compiled.predict_staged(&row, 1), mismatch.clone());
+        prop_assert_eq!(
+            model.predict(std::slice::from_ref(&row)).map(|_| 0.0),
+            mismatch.clone()
+        );
+        prop_assert_eq!(
+            compiled.predict_batch_threaded(&row, wrong, 2).map(|_| 0.0),
+            mismatch
+        );
     }
 }
